@@ -10,7 +10,7 @@ inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -18,8 +18,6 @@ import numpy as np
 from repro.backend import use_backend
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.nn.batchfit import BatchedSpAcLUNet, EarlyStopConfig, fit_batched
-from repro.nn.loss import masked_mse_loss
-from repro.nn.optim import Adam
 from repro.nn.unet import SpAcLUNet, UNetConfig
 from repro.nn.zoo import FitCache, PriorGeometry, checkpoint_from_fit
 from repro.utils.seeding import as_generator, spawn_generators
@@ -68,8 +66,6 @@ class InpaintingConfig:
 
 def config_for_prior_kind(kind: str, base: InpaintingConfig) -> InpaintingConfig:
     """Derive a Fig. 3 variant config from a base configuration."""
-    from dataclasses import replace
-
     if kind == "conventional":
         return replace(base, conv_kind="standard", anchor=1,
                        time_dilation=1, freq_pooling=False)
@@ -110,9 +106,9 @@ class InpaintingResult:
     concealed_errors: Optional[np.ndarray]
     network: SpAcLUNet
     scale: float
-    #: Best-loss iteration a batched fit rolled back to when per-record
-    #: early stopping triggered; ``None`` when the fit ran its full
-    #: iteration budget (always the case for the sequential path).
+    #: Best-loss iteration the fit rolled back to when early stopping
+    #: triggered; ``None`` when the fit ran its full iteration budget
+    #: (always the case with ``early_stop=None``).
     stop_iteration: Optional[int] = None
 
 
@@ -222,8 +218,13 @@ def inpaint_spectrogram(
     cache: Optional[FitCache] = None,
     geometry: Optional[PriorGeometry] = None,
     backend=None,
+    early_stop: Optional[EarlyStopConfig] = None,
 ) -> InpaintingResult:
     """Fit a deep prior to the visible cells and in-paint the rest.
+
+    A one-record :func:`inpaint_spectrograms` call: single fits run on
+    the same stacked engine as batches, so a record's result does not
+    depend on whether it was fitted alone or grouped with others.
 
     Parameters
     ----------
@@ -254,73 +255,18 @@ def inpaint_spectrogram(
         float64-configured fit in single precision); the ``numpy``
         reference leaves the fit bitwise identical to the pre-backend
         code.
+    early_stop:
+        Optional convergence criterion (see :func:`inpaint_spectrograms`).
     """
-    magnitude, visibility_arr = _validated_pair(magnitude, visibility)
-    rng_init, rng_code = spawn_generators(as_generator(rng), 2)
-    if reference is not None:
-        reference = _validated_reference(reference, magnitude)
-
-    with use_backend(backend) as be:
-        dtype = be.resolve_dtype(config.dtype)
-        n_freq, n_frames = magnitude.shape
-        normalized, scale = _normalize(magnitude, config, dtype)
-
-        from dataclasses import replace
-        dilation = _clamp_dilation(config.time_dilation, n_frames)
-        net_cfg = replace(config, time_dilation=dilation).network_config()
-        network = SpAcLUNet(net_cfg, rng=rng_init, dtype=dtype)
-        code = network.make_input_code(
-            n_freq, n_frames, rng=rng_code, scale=config.input_scale,
-            dtype=dtype,
-        )
-
-        if cache is not None:
-            if geometry is None:
-                geometry = PriorGeometry(n_freq=n_freq, n_frames=n_frames)
-            cached = cache.lookup(geometry, config)
-            if cached is not None:
-                network.load_state_dict(cached.state_copy())
-
-        target = normalized[None, None]
-        mask = visibility_arr.astype(dtype)[None, None]
-        optimizer = Adam(network.parameters(), lr=config.learning_rate)
-
-        losses = np.empty(config.iterations)
-        concealed_errors = (
-            np.empty(config.iterations) if reference is not None else None
-        )
-        if reference is not None:
-            ref_norm = (reference ** config.compression) / scale
-            concealed = ~visibility_arr
-
-        output_data = normalized
-        for it in range(config.iterations):
-            optimizer.zero_grad()
-            prediction = network(code)
-            loss = masked_mse_loss(prediction, target, mask)
-            loss.backward()
-            optimizer.step()
-            losses[it] = float(loss.data)
-            output_data = prediction.data[0, 0]
-            if concealed_errors is not None:
-                if concealed.any():
-                    diff = output_data[concealed] - ref_norm[concealed]
-                    concealed_errors[it] = float(np.mean(diff ** 2))
-                else:
-                    concealed_errors[it] = 0.0
-
-    if cache is not None:
-        cache.store(checkpoint_from_fit(
-            geometry, config, network.state_dict(), losses
-        ))
-
-    return InpaintingResult(
-        output=_restore(output_data, scale, config),
-        losses=losses,
-        concealed_errors=concealed_errors,
-        network=network,
-        scale=scale,
-    )
+    return inpaint_spectrograms(
+        [magnitude], [visibility], config,
+        rngs=[rng],
+        references=None if reference is None else [reference],
+        early_stop=early_stop,
+        cache=cache,
+        geometry=geometry,
+        backend=backend,
+    )[0]
 
 
 def inpaint_spectrograms(
@@ -339,12 +285,11 @@ def inpaint_spectrograms(
     Every record keeps its own network, weights and optimiser trajectory;
     the records merely share one autograd graph per iteration via
     :class:`repro.nn.batchfit.BatchedSpAcLUNet`, which is what makes the
-    batch faster than K sequential :func:`inpaint_spectrogram` calls.
+    batch faster than K one-record :func:`inpaint_spectrogram` calls.
     With ``early_stop=None`` (the default) every record runs the full
     iteration budget and each :class:`InpaintingResult` matches the
-    sequential fit for the same ``rngs[k]`` up to floating-point
-    summation order (see the "Deep-prior fitting engine" section of
-    ``docs/architecture.md`` for the documented tolerance); with an
+    one-record fit for the same ``rngs[k]`` (see the "Deep-prior fitting
+    engine" section of ``docs/architecture.md``); with an
     :class:`repro.nn.batchfit.EarlyStopConfig`, converged records roll
     back to their best-loss iteration (``stop_iteration``) and drop out
     of the running batch.
@@ -420,7 +365,6 @@ def inpaint_spectrograms(
             )
     n_freq, n_frames = shape
 
-    from dataclasses import replace
     dilation = _clamp_dilation(config.time_dilation, n_frames)
     net_cfg = replace(config, time_dilation=dilation).network_config()
 

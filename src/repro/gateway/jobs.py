@@ -381,23 +381,24 @@ class JobRegistry:
                 for result in results
             ]
         except Exception as exc:
-            with self._lock:
-                job.state = "error"
-                job.finished_at = time.time()
-                job.error = {
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
-                self._records.pop(job_id, None)
+            error = {"error": type(exc).__name__, "message": str(exc)}
             _LOG.warning("job %s failed: %s", job_id, exc)
         else:
-            with self._lock:
+            error = None
+        with self._lock:
+            job.finished_at = time.time()
+            if error is None:
                 job.state = "done"
-                job.finished_at = time.time()
                 job.record_summaries = summaries
-                self._records.pop(job_id, None)
                 self.n_executed += 1
-        self.store.write_job(job_id, job.to_dict())
+            else:
+                job.state = "error"
+                job.error = error
+            self._records.pop(job_id, None)
+            # Persist inside the lock: drain() reports the job finished
+            # as soon as it sees the terminal state, so the stored record
+            # must already say so.
+            self.store.write_job(job_id, job.to_dict())
         self._fire_callback(job)
 
     # ------------------------------------------------------------------ #

@@ -8,7 +8,9 @@ module stacks K structurally identical networks into one
 :class:`BatchedSpAcLUNet` whose parameters carry a leading *record* axis,
 so a single forward/backward/Adam step advances every record's fit
 simultaneously: the autograd graph has the same number of nodes as ONE
-sequential fit, while each einsum contracts over all records at once.
+per-record fit, while each einsum contracts over all records at once.
+It is the package's only fit engine: a single fit runs it at K=1
+(:func:`repro.core.inpainting.inpaint_spectrogram`).
 
 Per-record semantics are preserved exactly:
 
@@ -16,12 +18,12 @@ Per-record semantics are preserved exactly:
   ``(R, O, C, ...) x (R, C, F, T) -> (R, O, F, T)``, never mixing
   records);
 * the stacked initialisation is copied bit-for-bit from per-record
-  template networks seeded exactly as the sequential path seeds them;
+  template networks seeded exactly as a one-record fit seeds them;
 * the per-record loss is the same masked MSE, and the summed batch loss
   has a block-diagonal dependency structure, so each record's gradient
-  (and Adam trajectory) matches its sequential fit up to floating-point
-  summation order (see ``docs/architecture.md`` for the documented
-  tolerance).
+  (and Adam trajectory) matches the historical per-record ``SpAcLUNet``
+  loop up to floating-point summation order (see ``docs/architecture.md``
+  for the documented tolerance and the float64 fixture that pins it).
 
 Records that converge can drop out of the batch early
 (:class:`EarlyStopConfig`): the engine snapshots each record's best

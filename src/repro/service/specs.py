@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Union
+from typing import Any, ClassVar, Dict, FrozenSet, Mapping, Union
 
 from repro.config import Preset, get_preset
 from repro.errors import ConfigurationError
@@ -97,6 +97,9 @@ class SeparatorSpec(FrozenSpec):
 
     #: Registry key of the method this spec configures.
     method: str = ""
+    #: Fields a spec class no longer has.  :meth:`from_dict` drops them,
+    #: so dictionaries stored by an older version keep loading.
+    retired_fields: ClassVar[FrozenSet[str]] = frozenset()
 
     # ------------------------------------------------------------------ #
     # Dict round-trip
@@ -110,7 +113,8 @@ class SeparatorSpec(FrozenSpec):
         present) must name an entry using that subclass.  The named
         entry's registered defaults apply underneath the explicit
         fields, so ``{"method": "repet-ext"}`` builds the *extended*
-        variant.  Unknown methods and unknown fields raise
+        variant.  Keys in the spec class's ``retired_fields`` are
+        dropped; unknown methods and other unknown fields raise
         :class:`ConfigurationError`.
         """
         from repro.service.registry import separator_entry
@@ -134,6 +138,8 @@ class SeparatorSpec(FrozenSpec):
                     raise ConfigurationError(
                         f"method {method!r} does not match {cls.__name__}"
                     )
+        for name in spec_cls.retired_fields:
+            data.pop(name, None)
         known = {f.name for f in fields(spec_cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -265,6 +271,9 @@ class DHFSpec(SeparatorSpec):
     """
 
     method: str = "dhf"
+    #: ``batch_fit`` selected between two fit engines; every fit now
+    #: runs on the stacked one, so stored specs drop the key on load.
+    retired_fields: ClassVar[FrozenSet[str]] = frozenset({"batch_fit"})
 
     samples_per_period: int = 32
     periods_per_window: int = 8
@@ -280,19 +289,16 @@ class DHFSpec(SeparatorSpec):
     depth: int = 3
     prior_time_dilation: int = 13
     seed: int = 20240623
-    #: Batched deep-prior engine knobs (see :class:`repro.core.DHFConfig`):
-    #: ``batch_fit`` routes multi-record ``separate_batch`` calls through
-    #: one stacked fit per same-geometry round group;
-    #: ``early_stop_patience`` > 0 lets converged records drop out of the
-    #: batch (0 keeps batched fits equivalent to sequential ones).
-    batch_fit: bool = True
+    #: Deep-prior early stopping (see :class:`repro.core.DHFConfig`):
+    #: ``early_stop_patience`` > 0 lets converged fits stop before the
+    #: iteration budget (0 runs every fit to the full budget).
     early_stop_patience: int = 0
     early_stop_rel_tol: float = 1e-3
     #: Deep-prior fit dtype, as a JSON-able name.  ``"float32"``
     #: (default) is the speed-oriented production setting;
-    #: ``"float64"`` tightens the batched-vs-sequential fit equivalence
-    #: to the documented <= 1e-8 (see docs/architecture.md, "Deep-prior
-    #: fitting engine") at roughly twice the fit cost.
+    #: ``"float64"`` is the reference precision the engine's <= 1e-8
+    #: equivalence suites pin (see docs/architecture.md, "Deep-prior
+    #: fitting engine"), at roughly twice the fit cost.
     dtype: str = "float32"
     #: Warm-start deep-prior fits from the process-wide
     #: :func:`repro.nn.zoo.shared_fit_cache`.  The cache is shared
@@ -373,7 +379,6 @@ class DHFSpec(SeparatorSpec):
                 dtype=np.dtype(self.dtype).type,
             ),
             seed=self.seed,
-            batch_fit=self.batch_fit,
             early_stop_patience=self.early_stop_patience,
             early_stop_rel_tol=self.early_stop_rel_tol,
             warm_start=self.warm_start,

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long end-to-end DHF runs (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def rng():
     """A fresh deterministic generator per test."""

@@ -1,6 +1,7 @@
 """Tests for the frozen separator specs (repro.service.specs)."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -72,8 +73,6 @@ class TestRoundTrip:
         assert SeparatorSpec.from_dict(data) == spec
 
     def test_dict_is_json_compatible(self):
-        import json
-
         for name in available_separators():
             spec = default_spec(name)
             assert SeparatorSpec.from_dict(
@@ -155,3 +154,23 @@ class TestDHFSpec:
     def test_unknown_preset_suggests(self):
         with pytest.raises(ConfigurationError, match="did you mean"):
             DHFSpec.from_preset("smok")
+
+    @pytest.mark.parametrize("batch_fit", [True, False])
+    def test_stored_batch_fit_key_is_dropped(self, batch_fit):
+        # Specs persisted before every fit ran on the stacked engine
+        # carry the retired ``batch_fit`` knob; they must keep loading.
+        spec = DHFSpec.from_preset("smoke", early_stop_patience=4)
+        stored = json.loads(json.dumps(
+            {**spec.to_dict(), "batch_fit": batch_fit}
+        ))
+        for loader in (SeparatorSpec.from_dict, DHFSpec.from_dict):
+            rebuilt = loader(stored)
+            assert rebuilt == spec
+            assert "batch_fit" not in rebuilt.to_dict()
+            assert loader(rebuilt.to_dict()) == spec
+
+    def test_batch_fit_is_retired_for_dhf_only(self):
+        with pytest.raises(TypeError):
+            DHFSpec(batch_fit=True)
+        with pytest.raises(ConfigurationError, match="batch_fit"):
+            SeparatorSpec.from_dict({"method": "emd", "batch_fit": True})
