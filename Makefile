@@ -22,9 +22,9 @@ help:
 	@echo "make bench-sharding  - sharded process fan-out benchmark (asserts >= 2x"
 	@echo "                       vs the per-record loop, 1e-8 parity, zero"
 	@echo "                       per-record separator pickling)"
-	@echo "make bench-substrates- cross-backend DHF fit comparison (asserts"
-	@echo "                       numpy-f32 >= 1.3x over the float64 reference"
-	@echo "                       at documented parity tolerance)"
+	@echo "make bench-substrates- float32 vs float64 DHF fit comparison (asserts"
+	@echo "                       float32 >= 1.3x over float64 at documented"
+	@echo "                       parity tolerance)"
 	@echo "make gateway-smoke   - HTTP gateway benchmark, smoke preset (job"
 	@echo "                       lifecycle + concurrent monitor feeds, bitwise-checked)"
 	@echo "make scoreboard-smoke- robustness scoreboard artefact, smoke preset"
@@ -89,10 +89,9 @@ smoke:
 # artefact over the full separator line-up, and bench-sharding gates
 # the process fan-out path at full scale (>= 2x vs the per-record loop
 # with 1e-8 parity and zero per-record separator pickling).
-# bench-substrates gates the array-backend substrate: every available
-# backend fits the same batch, parity against the float64 golden fit is
-# asserted per backend, and the numpy-f32 fast path must be >= 1.3x
-# faster than the reference on the DHF fit loop.
+# bench-substrates gates the fit precision knob: the same batch is fitted
+# at float32 and float64, parity against the float64 fit is asserted,
+# and the float32 fit must be >= 1.3x faster on the DHF fit loop.
 ci: bench-inpainting bench-warmstart bench-sharding bench-substrates gateway-smoke scoreboard-smoke
 	$(PYTHON) -m pytest -x -q
 	bash scripts/smoke.sh

@@ -40,7 +40,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.errors import ConfigurationError, SerializationError, ShapeError
 from repro.nn import functional as F
 from repro.nn.module import Module, Parameter
@@ -140,12 +139,12 @@ def batched_conv2d(
             f"kernel {weight.shape}"
         )
 
-    backend = active_backend()
     out_data = np.zeros((n_rec, c_out, oh, ow), dtype=x.dtype)
     for (di, dj), (sl_h, sl_w) in taps:
         patch = xp[:, :, sl_h, sl_w]
-        out_data += backend.einsum(
-            "roc,rchw->rohw", weight.data[:, :, :, di, dj], patch
+        out_data += np.einsum(
+            "roc,rchw->rohw", weight.data[:, :, :, di, dj], patch,
+            optimize=True,
         )
     if bias is not None:
         out_data += bias.data.reshape(n_rec, c_out, 1, 1)
@@ -165,11 +164,11 @@ def batched_conv2d(
         grad_w = np.zeros_like(w_data)
         for (di, dj), (sl_h, sl_w) in taps:
             patch = xp_data[:, :, sl_h, sl_w]
-            grad_w[:, :, :, di, dj] = backend.einsum(
-                "rohw,rchw->roc", grad, patch
+            grad_w[:, :, :, di, dj] = np.einsum(
+                "rohw,rchw->roc", grad, patch, optimize=True
             )
-            grad_xp[:, :, sl_h, sl_w] += backend.einsum(
-                "roc,rohw->rchw", w_data[:, :, :, di, dj], grad
+            grad_xp[:, :, sl_h, sl_w] += np.einsum(
+                "roc,rohw->rchw", w_data[:, :, :, di, dj], grad, optimize=True
             )
         grad_x = grad_xp[:, :, ph: ph + h, pw: pw + w] if (ph or pw) \
             else grad_xp
@@ -262,7 +261,6 @@ def batched_harmonic_conv2d(
     # each input cell once, with one well-blocked matmul per layer.
     n_tp = xp.shape[-1]
     ws = workspace
-    backend = active_backend()
     w_fold = np.ascontiguousarray(
         weight.data.transpose(0, 1, 4, 2, 3)
     ).reshape(n_rec, c_out * kt, c_in * n_harm)
@@ -270,7 +268,7 @@ def batched_harmonic_conv2d(
     tmp_shape = (n_rec, c_out * kt, n_freq * n_tp)
     tmp = ws.get(key + ".tmp", tmp_shape, x.dtype) if ws is not None \
         else np.empty(tmp_shape, dtype=x.dtype)
-    backend.matmul(w_fold, g_flat, out=tmp)
+    np.matmul(w_fold, g_flat, out=tmp)
     tmp_taps = tmp.reshape(n_rec, c_out, kt, n_freq, n_tp)
 
     out_data = np.zeros((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
@@ -300,14 +298,14 @@ def batched_harmonic_conv2d(
             lane[..., t0: t0 + n_time] = grad
         gt_flat = grad_tmp.reshape(n_rec, c_out * kt, n_freq * n_tp)
         # Weight gradient: contract the taps against the gather buffer.
-        grad_w = backend.matmul(
+        grad_w = np.matmul(
             gt_flat, g_flat.transpose(0, 2, 1)
         ).reshape(n_rec, c_out, kt, c_in, n_harm).transpose(0, 1, 3, 4, 2)
         # Input gradient back through the gather.
         gg_shape = (n_rec, c_in * n_harm, n_freq * n_tp)
         gg_flat = ws.get(key + ".ggather", gg_shape, x_dtype) if ws is not None \
             else np.empty(gg_shape, dtype=x_dtype)
-        backend.matmul(w_fold.transpose(0, 2, 1), gt_flat, out=gg_flat)
+        np.matmul(w_fold.transpose(0, 2, 1), gt_flat, out=gg_flat)
         grad_gathered = gg_flat.reshape(gather_shape)
         # Adjoint of the frequency gather: scatter-add per harmonic using
         # the cached plan; only in-band rows scatter, so no validity
@@ -318,7 +316,10 @@ def batched_harmonic_conv2d(
         moved = np.moveaxis(grad_xp, 2, 0)   # (F, R, C, Tp) view
         for k, (rows, targets, is_unique) in enumerate(scatter_plan):
             source = np.moveaxis(grad_gathered[:, :, k], 2, 0)[rows]
-            backend.index_add(moved, targets, source, unique=is_unique)
+            if is_unique:
+                moved[targets] += source
+            else:
+                np.add.at(moved, targets, source)
         grad_x = grad_xp[:, :, :, pad_t: pad_t + n_time] if pad_t else grad_xp
         grads = [grad_x, grad_w]
         if bias is not None:

@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.tensor import Tensor, astensor
 
@@ -188,14 +187,13 @@ def conv2d(
             f"{weight.shape}, stride {(sh, sw)}, padding {(ph, pw)}"
         )
 
-    backend = active_backend()
     out_data = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
     # Loop over kernel taps; each tap is one big GEMM.  kh*kw is small
     # (<= 25) so this beats materialising a full im2col buffer.
     for (di, dj), (sl_h, sl_w) in taps:
         patch = xp[:, :, sl_h, sl_w]
-        out_data += backend.einsum(
-            "oc,nchw->nohw", weight.data[:, :, di, dj], patch
+        out_data += np.einsum(
+            "oc,nchw->nohw", weight.data[:, :, di, dj], patch, optimize=True
         )
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
@@ -211,11 +209,11 @@ def conv2d(
         grad_w = np.zeros_like(w_data)
         for (di, dj), (sl_h, sl_w) in taps:
             patch = x_data_padded[:, :, sl_h, sl_w]
-            grad_w[:, :, di, dj] = backend.einsum(
-                "nohw,nchw->oc", grad, patch
+            grad_w[:, :, di, dj] = np.einsum(
+                "nohw,nchw->oc", grad, patch, optimize=True
             )
-            grad_xp[:, :, sl_h, sl_w] += backend.einsum(
-                "oc,nohw->nchw", w_data[:, :, di, dj], grad
+            grad_xp[:, :, sl_h, sl_w] += np.einsum(
+                "oc,nohw->nchw", w_data[:, :, di, dj], grad, optimize=True
             )
         grad_x = grad_xp[:, :, ph: ph + h, pw: pw + w]
         grads = [grad_x, grad_w]
@@ -315,7 +313,6 @@ def harmonic_conv2d(
     xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad_t, pad_t)))
 
     # Gather per-harmonic frequency-remapped copies once: (H, N, C, F, Tp).
-    backend = active_backend()
     gathered = xp[:, :, indices, :]          # (N, C, H, F, Tp)
     gathered *= valid[None, None, :, :, None]
 
@@ -323,8 +320,8 @@ def harmonic_conv2d(
     for k in range(n_harm):
         for dt, sl_t in enumerate(taps):
             patch = gathered[:, :, k, :, sl_t]
-            out_data += backend.einsum(
-                "oc,ncft->noft", weight.data[:, :, k, dt], patch
+            out_data += np.einsum(
+                "oc,ncft->noft", weight.data[:, :, k, dt], patch, optimize=True
             )
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
@@ -344,18 +341,18 @@ def harmonic_conv2d(
         for k in range(n_harm):
             for dt, sl_t in enumerate(taps):
                 patch = gathered[:, :, k, :, sl_t]
-                grad_w[:, :, k, dt] = backend.einsum(
-                    "noft,ncft->oc", grad, patch
+                grad_w[:, :, k, dt] = np.einsum(
+                    "noft,ncft->oc", grad, patch, optimize=True
                 )
-                grad_gathered[:, :, k, :, sl_t] += backend.einsum(
-                    "oc,noft->ncft", w_data[:, :, k, dt], grad
+                grad_gathered[:, :, k, :, sl_t] += np.einsum(
+                    "oc,noft->ncft", w_data[:, :, k, dt], grad, optimize=True
                 )
         grad_gathered *= valid[None, None, :, :, None]
         # Adjoint of the frequency gather: scatter-add back per harmonic.
         grad_xp = np.zeros(xp_shape, dtype=x_dtype)
         moved = np.moveaxis(grad_xp, 2, 0)   # (F, N, C, Tp) view
         for k in range(n_harm):
-            backend.scatter_add(
+            np.add.at(
                 moved, indices[k], np.moveaxis(grad_gathered[:, :, k], 2, 0)
             )
         grad_x = grad_xp[:, :, :, pad_t: pad_t + n_time] if pad_t else grad_xp

@@ -4,12 +4,8 @@ All initialisers take an explicit :class:`numpy.random.Generator` so model
 construction is fully deterministic given a seed — essential for the
 deep-prior experiments where the random initialisation *is* the prior.
 
-``dtype`` defaults to ``None``, which resolves through the active
-:mod:`repro.backend` dtype policy (:func:`resolve_init_dtype`): the
-numpy reference preserves the historical ``float32`` default, while
-float32-policy backends force single precision.  This closes the
-hard-coded-``float32`` class of dtype leak at the source — an explicit
-``dtype=`` still always wins under a ``"preserve"``-policy backend.
+``dtype`` defaults to ``None``, which resolves to ``float32``
+(:func:`resolve_init_dtype`); an explicit ``dtype=`` is always kept.
 """
 
 from __future__ import annotations
@@ -19,18 +15,12 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.errors import ConfigurationError
 
 
 def resolve_init_dtype(dtype=None):
-    """The dtype a new parameter array should use.
-
-    ``None`` asks the active backend for its default; anything else is
-    passed through the backend's dtype policy (identity for the numpy
-    reference, forced ``float32`` for float32-policy backends).
-    """
-    return active_backend().resolve_dtype(dtype)
+    """The dtype a new parameter array should use (``None`` → float32)."""
+    return np.float32 if dtype is None else dtype
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:

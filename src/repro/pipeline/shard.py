@@ -50,7 +50,10 @@ keeps one engine alive across calls.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -261,25 +264,37 @@ class ShmBlock:
 _WORKER_SEPARATOR: Optional[Separator] = None
 
 
-def _init_worker(payload: Tuple[str, Any, str, str]) -> None:
+def _cap_blas_threads(n_threads: int) -> None:
+    """Cap numpy's bundled OpenBLAS thread pool at ``n_threads``.
+
+    A silent no-op when numpy ships no ``scipy_openblas`` library or the
+    library lacks the setter (another BLAS, another numpy build).
+    """
+    libs_dir = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so")):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(n_threads)
+
+
+def _init_worker(payload: Tuple[str, Any, str, int]) -> None:
     """Build this worker's separator once, from spec JSON or pickle bytes.
 
     Runs as the :class:`ProcessPoolExecutor` initializer — the only
     time separator configuration crosses the process boundary.  A
     non-empty ``zoo_path`` additionally resolves the process-wide
     :func:`repro.nn.zoo.shared_fit_cache`, so a warm-start separator's
-    first fit already sees the on-disk prior zoo.  A non-empty
-    ``backend`` installs that array backend as this worker's process
-    default (:func:`repro.backend.set_process_backend`), mirroring the
-    parent's explicit backend selection; a bad name kills pool
-    construction rather than the first job.
+    first fit already sees the on-disk prior zoo.  ``blas_threads``
+    caps the worker's OpenBLAS pool, so W workers share the cores
+    instead of each running BLAS at full width (W-fold oversubscribed).
     """
     global _WORKER_SEPARATOR
-    kind, data, zoo_path, backend = payload
-    if backend:
-        from repro.backend import set_process_backend
-
-        set_process_backend(backend)
+    kind, data, zoo_path, blas_threads = payload
+    _cap_blas_threads(blas_threads)
     if kind == "spec":
         from repro.service.registry import build_separator
 
@@ -383,14 +398,7 @@ class ShardedExecutor:
         config = getattr(separator, "config", None)
         if getattr(config, "warm_start", False):
             zoo_path = getattr(config, "zoo_path", None) or ""
-        # Workers mirror the parent's explicit backend selection: the
-        # separator's own config wins, else a parent-wide
-        # set_process_backend() default; the REPRO_BACKEND env var needs
-        # no forwarding (child processes inherit the environment).
-        from repro.backend import process_backend_name
-
-        backend = getattr(config, "backend", None) or \
-            process_backend_name() or ""
+        blas_threads = max(1, (os.cpu_count() or 1) // workers)
         if spec is not None:
             from repro.service.specs import SeparatorSpec
 
@@ -400,7 +408,7 @@ class ShardedExecutor:
                     f"{type(spec).__name__}"
                 )
             self._payload = (
-                "spec", json.dumps(spec.to_dict()), zoo_path, backend
+                "spec", json.dumps(spec.to_dict()), zoo_path, blas_threads
             )
         else:
             try:
@@ -411,7 +419,7 @@ class ShardedExecutor:
                     f"spec was given; pass spec= (or register the method) "
                     f"so workers can rebuild it ({exc})"
                 ) from exc
-            self._payload = ("pickle", data, zoo_path, backend)
+            self._payload = ("pickle", data, zoo_path, blas_threads)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 

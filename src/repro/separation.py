@@ -136,8 +136,10 @@ class Separator(abc.ABC):
                     f"f0 track for {name!r} has {track.size} samples, "
                     f"mixed has {mixed.size}"
                 )
-            if np.any(track <= 0):
-                raise DataError(f"f0 track for {name!r} must be positive")
+            if not np.all((track > 0) & np.isfinite(track)):
+                raise DataError(
+                    f"f0 track for {name!r} must be positive and finite"
+                )
         return mixed
 
     def __repr__(self) -> str:

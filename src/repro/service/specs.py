@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, FrozenSet, Mapping, Union
+from typing import Any, Dict, Mapping, Union
 
 from repro.config import Preset, get_preset
 from repro.errors import ConfigurationError
@@ -97,9 +97,6 @@ class SeparatorSpec(FrozenSpec):
 
     #: Registry key of the method this spec configures.
     method: str = ""
-    #: Fields a spec class no longer has.  :meth:`from_dict` drops them,
-    #: so dictionaries stored by an older version keep loading.
-    retired_fields: ClassVar[FrozenSet[str]] = frozenset()
 
     # ------------------------------------------------------------------ #
     # Dict round-trip
@@ -113,9 +110,9 @@ class SeparatorSpec(FrozenSpec):
         present) must name an entry using that subclass.  The named
         entry's registered defaults apply underneath the explicit
         fields, so ``{"method": "repet-ext"}`` builds the *extended*
-        variant.  Keys in the spec class's ``retired_fields`` are
-        dropped; unknown methods and other unknown fields raise
-        :class:`ConfigurationError`.
+        variant.  Keys an older version stored are upgraded by the spec
+        class's :meth:`_upgrade_legacy`; unknown methods and other
+        unknown fields raise :class:`ConfigurationError`.
         """
         from repro.service.registry import separator_entry
 
@@ -138,8 +135,7 @@ class SeparatorSpec(FrozenSpec):
                     raise ConfigurationError(
                         f"method {method!r} does not match {cls.__name__}"
                     )
-        for name in spec_cls.retired_fields:
-            data.pop(name, None)
+        spec_cls._upgrade_legacy(data)
         known = {f.name for f in fields(spec_cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -152,6 +148,14 @@ class SeparatorSpec(FrozenSpec):
             merged["method"] = entry.name
             data = merged
         return spec_cls(**data)
+
+    @classmethod
+    def _upgrade_legacy(cls, data: Dict[str, Any]) -> None:
+        """Rewrite, in place, keys ``data`` stored by an older version.
+
+        Spec classes that dropped or renamed a field override this, so
+        dictionaries stored before the change keep loading.
+        """
 
     def build(self):
         """The configured :class:`repro.separation.Separator`."""
@@ -271,9 +275,6 @@ class DHFSpec(SeparatorSpec):
     """
 
     method: str = "dhf"
-    #: ``batch_fit`` selected between two fit engines; every fit now
-    #: runs on the stacked one, so stored specs drop the key on load.
-    retired_fields: ClassVar[FrozenSet[str]] = frozenset({"batch_fit"})
 
     samples_per_period: int = 32
     periods_per_window: int = 8
@@ -294,11 +295,11 @@ class DHFSpec(SeparatorSpec):
     #: iteration budget (0 runs every fit to the full budget).
     early_stop_patience: int = 0
     early_stop_rel_tol: float = 1e-3
-    #: Deep-prior fit dtype, as a JSON-able name.  ``"float32"``
-    #: (default) is the speed-oriented production setting;
-    #: ``"float64"`` is the reference precision the engine's <= 1e-8
-    #: equivalence suites pin (see docs/architecture.md, "Deep-prior
-    #: fitting engine"), at roughly twice the fit cost.
+    #: Deep-prior fit dtype, as a JSON-able name — the one precision
+    #: knob.  ``"float32"`` (default) is the speed-oriented production
+    #: setting; ``"float64"`` is the reference precision the engine's
+    #: <= 1e-8 equivalence suites pin, at roughly 1.6x the fit cost
+    #: (see docs/architecture.md, "Precision").
     dtype: str = "float32"
     #: Warm-start deep-prior fits from the process-wide
     #: :func:`repro.nn.zoo.shared_fit_cache`.  The cache is shared
@@ -312,13 +313,25 @@ class DHFSpec(SeparatorSpec):
     #: Empty string keeps the cache purely in-memory.  Only meaningful
     #: with ``warm_start=True``.
     zoo_path: str = ""
-    #: Array backend the deep-prior fits run on, as a
-    #: :func:`repro.backend.available_backends` name.  Empty string
-    #: (default) defers to the ambient backend — thread-local override,
-    #: process default, ``REPRO_BACKEND`` env var, else the
-    #: bitwise-reference ``"numpy"``.  Unknown or unavailable names
-    #: (``"torch"`` without torch installed) fail spec validation.
-    backend: str = ""
+
+    @classmethod
+    def _upgrade_legacy(cls, data: Dict[str, Any]) -> None:
+        # ``batch_fit`` selected between two fit engines; every fit now
+        # runs on the stacked one, so the key is dropped.
+        data.pop("batch_fit", None)
+        # ``backend`` named an array backend; only its precision
+        # survives.  The float32 backends ran every fit in single
+        # precision whatever ``dtype`` said, so they load as
+        # ``dtype="float32"``; the numpy reference (or the unset
+        # default) kept ``dtype`` as stored.
+        backend = data.pop("backend", "")
+        if backend in ("numpy-f32", "torch"):
+            data["dtype"] = "float32"
+        elif backend not in ("", "numpy"):
+            raise ConfigurationError(
+                f"DHFSpec.backend {backend!r} is not a stored backend "
+                f"name ('numpy', 'numpy-f32' or 'torch'); set dtype instead"
+            )
 
     def __post_init__(self):
         self._check_positive_int(
@@ -339,14 +352,6 @@ class DHFSpec(SeparatorSpec):
         if not isinstance(self.zoo_path, str):
             raise ConfigurationError(
                 f"DHFSpec.zoo_path must be a str, got {self.zoo_path!r}"
-            )
-        if self.backend:
-            from repro.backend import validate_backend_name
-
-            validate_backend_name(self.backend, "DHFSpec.backend")
-        elif not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"DHFSpec.backend must be a str, got {self.backend!r}"
             )
         # Cross-field constraints (hop vs window, phase policy, the
         # 'auto' dilation sentinel) are enforced by DHFConfig itself;
@@ -383,7 +388,6 @@ class DHFSpec(SeparatorSpec):
             early_stop_rel_tol=self.early_stop_rel_tol,
             warm_start=self.warm_start,
             zoo_path=self.zoo_path or None,
-            backend=self.backend or None,
         )
 
     @classmethod

@@ -200,8 +200,10 @@ class StreamingSeparator:
                     f"f0 track for {name!r} has {track.size} samples, "
                     f"chunk has {samples.size}"
                 )
-            if track.size and np.any(track <= 0):
-                raise DataError(f"f0 track for {name!r} must be positive")
+            if not np.all((track > 0) & np.isfinite(track)):
+                raise DataError(
+                    f"f0 track for {name!r} must be positive and finite"
+                )
             chunks[name] = track
         self.n_pushed += samples.size
         if samples.size:

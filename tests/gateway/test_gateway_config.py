@@ -29,6 +29,23 @@ class TestGatewayConfig:
         wire = json.loads(json.dumps(config.to_dict()))
         assert GatewayConfig.from_dict(wire) == config
 
+    def test_legacy_dict_with_backend_loads(self):
+        # Captured from GatewayConfig().to_dict() while the config still
+        # had a ``backend`` field; every saved config carries the key.
+        legacy = json.loads(
+            '{"host": "127.0.0.1", "port": 0, "workers": 2, '
+            '"queue_depth": 64, "artifact_root": "", "artifact_ttl_s": '
+            '3600.0, "callback_retries": 3, "callback_backoff_s": 0.1, '
+            '"callback_backoff_factor": 2.0, "callback_timeout_s": 5.0, '
+            '"zoo_path": "", "backend": "", "executor": "thread", '
+            '"service_workers": 0, "session_idle_timeout_s": 300.0, '
+            '"reap_interval_s": 1.0, "max_body_bytes": 67108864, '
+            '"max_updates_kept": 256}'
+        )
+        config = GatewayConfig.from_dict(legacy)
+        assert config == GatewayConfig()
+        assert "backend" not in config.to_dict()
+
     def test_unknown_field_did_you_mean(self):
         with pytest.raises(ConfigurationError, match="did you mean"):
             GatewayConfig.from_dict({"worker": 3})

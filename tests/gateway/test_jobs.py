@@ -85,6 +85,7 @@ class TestLifecycle:
         # The persisted spec is byte-equal to the submitted one.
         assert json.dumps(stored["spec"], sort_keys=True) == \
             json.dumps(SPEC.to_dict(), sort_keys=True)
+        assert "backend" not in stored
 
     def test_estimates_bitwise_equal_offline(self, registry):
         record = make_record(seed=5)

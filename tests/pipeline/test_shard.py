@@ -9,6 +9,9 @@ every registered separator, the service facade's persistent engine, and
 the one-serialization-per-worker guarantee (counting ``__reduce__``).
 """
 
+import ctypes
+import ctypes.util
+import glob
 import os
 import pickle
 
@@ -94,6 +97,30 @@ class DyingSeparator(Separator):
         if mixed.size == DEATH_SAMPLES:
             os._exit(1)
         return {name: np.array(mixed) for name in f0_tracks}
+
+
+def _blas_thread_getter():
+    """numpy's bundled OpenBLAS thread-count getter, or ``None``."""
+    libs_dir = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so")):
+        try:
+            getter = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        return getter
+    return None
+
+
+class BlasThreadsSeparator(Separator):
+    """Reports its process's OpenBLAS pool size as every estimate."""
+
+    name = "blas-threads"
+
+    def separate(self, mixed, sampling_hz, f0_tracks):
+        n_threads = float(_blas_thread_getter()())
+        return {name: np.full(len(mixed), n_threads) for name in f0_tracks}
 
 
 class CountingMasking(SpectralMaskingSeparator):
@@ -324,6 +351,36 @@ class TestShardedExecutor:
         with ShardedExecutor(probe, workers=2, spec=spec) as engine:
             engine.separate_records(_mixture_records(3))
         assert Probe.reduce_calls == 0
+
+
+class TestBlasThreadCap:
+    @pytest.mark.skipif(_blas_thread_getter() is None,
+                        reason="numpy does not bundle scipy_openblas")
+    def test_workers_share_the_cores(self):
+        parent_threads = _blas_thread_getter()()
+        with ShardedExecutor(BlasThreadsSeparator(), workers=2) as engine:
+            out = engine.separate_records(_records(2))
+        expected = max(1, (os.cpu_count() or 1) // 2)
+        for est in out:
+            assert np.all(est["a"] == expected)
+        assert _blas_thread_getter()() == parent_threads
+
+    def test_cap_is_a_noop_without_the_library(self, monkeypatch):
+        from repro.pipeline import shard
+
+        monkeypatch.setattr(
+            shard.glob, "glob", lambda _: ["/nonexistent/libblas.so"]
+        )
+        shard._cap_blas_threads(1)
+
+    def test_cap_is_a_noop_without_the_symbol(self, monkeypatch):
+        from repro.pipeline import shard
+
+        libm = ctypes.util.find_library("m")
+        if libm is None:
+            pytest.skip("no libm to load")
+        monkeypatch.setattr(shard.glob, "glob", lambda _: [libm])
+        shard._cap_blas_threads(1)
 
 
 # --------------------------------------------------------------------- #

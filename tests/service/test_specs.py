@@ -169,6 +169,35 @@ class TestDHFSpec:
             assert "batch_fit" not in rebuilt.to_dict()
             assert loader(rebuilt.to_dict()) == spec
 
+    @pytest.mark.parametrize("backend", ["numpy-f32", "torch"])
+    def test_stored_f32_backend_loads_as_float32(self, backend):
+        # The float32 backends ran every fit in single precision whatever
+        # ``dtype`` said, so only that precision survives the retirement.
+        stored = {"method": "dhf", "backend": backend, "dtype": "float64"}
+        for loader in (SeparatorSpec.from_dict, DHFSpec.from_dict):
+            rebuilt = loader(stored)
+            assert rebuilt.dtype == "float32"
+            assert "backend" not in rebuilt.to_dict()
+
+    @pytest.mark.parametrize("backend", ["numpy", ""])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_stored_reference_backend_keeps_dtype(self, backend, dtype):
+        stored = {"method": "dhf", "backend": backend, "dtype": dtype}
+        for loader in (SeparatorSpec.from_dict, DHFSpec.from_dict):
+            rebuilt = loader(stored)
+            assert rebuilt == DHFSpec(dtype=dtype)
+            assert "backend" not in rebuilt.to_dict()
+
+    def test_stored_unknown_backend_raises(self):
+        with pytest.raises(ConfigurationError, match="dtype"):
+            SeparatorSpec.from_dict({"method": "dhf", "backend": "cuda"})
+
+    def test_backend_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            DHFSpec(backend="numpy")
+        with pytest.raises(ConfigurationError, match="backend"):
+            SeparatorSpec.from_dict({"method": "emd", "backend": "numpy"})
+
     def test_batch_fit_is_retired_for_dhf_only(self):
         with pytest.raises(TypeError):
             DHFSpec(batch_fit=True)

@@ -46,6 +46,23 @@ def test_validate_rejects_nonpositive_track():
         Passthrough().separate(np.ones(10), 1.0, {"a": np.zeros(10)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["offline", "stream"])
+def test_rejects_non_finite_track(mode, bad):
+    from repro.baselines import SpectralMaskingSeparator
+
+    mixed = np.ones(200)
+    track = np.full(200, 1.3)
+    track[17] = bad
+    sep = SpectralMaskingSeparator()
+    with pytest.raises(DataError, match="finite"):
+        if mode == "offline":
+            sep.separate(mixed, 20.0, {"a": track})
+        else:
+            engine = sep.stream(20.0, segment_samples=100, overlap_samples=20)
+            engine.push(mixed, {"a": track})
+
+
 def test_repr_contains_name():
     assert "passthrough" in repr(Passthrough())
 
