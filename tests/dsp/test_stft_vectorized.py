@@ -113,6 +113,18 @@ class TestBatchedStft:
             )
             np.testing.assert_allclose(signals[b], X[b], atol=1e-10)
 
+    def test_float32_signals_run_in_float64(self, rng):
+        # STFTs always run in float64: a float32 batch is upcast before
+        # framing, so it matches the float64 batch of the same samples.
+        xs = rng.standard_normal((2, 500)).astype(np.float32)
+        batch = stft_batch(xs, FS, n_fft=64)
+        reference = stft_batch(xs.astype(np.float64), FS, n_fft=64)
+        assert batch.values.dtype == np.complex128
+        np.testing.assert_array_equal(batch.values, reference.values)
+        restored = istft_batch(batch)
+        assert restored.dtype == np.float64
+        np.testing.assert_allclose(restored, xs, rtol=0, atol=1e-6)
+
     def test_istft_batch_with_replacement_values(self):
         X = np.stack([_signal(256, seed=s) for s in range(3)])
         batch = stft_batch(X, FS, n_fft=64, hop=16)

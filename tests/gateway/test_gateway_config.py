@@ -46,6 +46,11 @@ class TestGatewayConfig:
         assert config == GatewayConfig()
         assert "backend" not in config.to_dict()
 
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-f32", "torch"])
+    def test_any_stored_backend_is_dropped(self, backend):
+        wire = dict(GatewayConfig(workers=3).to_dict(), backend=backend)
+        assert GatewayConfig.from_dict(wire) == GatewayConfig(workers=3)
+
     def test_unknown_field_did_you_mean(self):
         with pytest.raises(ConfigurationError, match="did you mean"):
             GatewayConfig.from_dict({"worker": 3})

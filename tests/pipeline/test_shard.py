@@ -365,6 +365,20 @@ class TestBlasThreadCap:
             assert np.all(est["a"] == expected)
         assert _blas_thread_getter()() == parent_threads
 
+    @pytest.mark.parametrize("cpus,workers,expected", [
+        (8, 1, 8), (8, 3, 2), (8, 8, 1), (8, 16, 1), (None, 2, 1),
+    ])
+    def test_payload_carries_core_share(self, monkeypatch, cpus, workers,
+                                        expected):
+        from repro.pipeline import shard
+
+        monkeypatch.setattr(shard.os, "cpu_count", lambda: cpus)
+        for spec in (None, default_spec("spectral-masking")):
+            engine = ShardedExecutor(
+                SpectralMaskingSeparator(), workers=workers, spec=spec
+            )
+            assert engine._payload[-1] == expected
+
     def test_cap_is_a_noop_without_the_library(self, monkeypatch):
         from repro.pipeline import shard
 
