@@ -9,8 +9,8 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 help:
 	@echo "make test            - tier-1 test suite (pytest -x -q)"
-	@echo "make conformance     - separator conformance suite (every registered"
-	@echo "                       method x offline/batch/stream, smoke preset)"
+	@echo "make conformance     - separator conformance suites (every registered"
+	@echo "                       method x every mode, valid and faulty input)"
 	@echo "make bench           - batched-pipeline speedup benchmark (asserts >= 3x)"
 	@echo "make bench-streaming - streaming latency/throughput benchmark"
 	@echo "make bench-inpainting- batched deep-prior fit benchmark (asserts >= 2x)"
@@ -37,7 +37,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 conformance:
-	REPRO_PRESET=smoke $(PYTHON) -m pytest tests/service/test_conformance.py -q
+	REPRO_PRESET=smoke $(PYTHON) -m pytest tests/service/test_conformance.py tests/service/test_input_contract.py -q
 
 bench:
 	$(PYTHON) benchmarks/bench_pipeline.py

@@ -82,6 +82,7 @@ REQUIRED_DOC_NAMES = [
     ("repro.pipeline", "plan_shards"),
     ("repro.pipeline", "shard_key"),
     ("repro.errors", "WorkerPoolError"),
+    ("repro.separation", "check_record"),
 ]
 
 

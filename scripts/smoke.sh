@@ -11,7 +11,7 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo "== separator conformance (smoke preset) =="
-REPRO_PRESET=smoke python -m pytest tests/service/test_conformance.py -q
+REPRO_PRESET=smoke python -m pytest tests/service/test_conformance.py tests/service/test_input_contract.py -q
 
 echo "== docs-check =="
 python scripts/check_docs.py

@@ -84,7 +84,7 @@ from repro.scenarios import (
     default_degradation,
     run_scenario_grid,
 )
-from repro.separation import Separator
+from repro.separation import Separator, check_record
 from repro.service import (
     SeparationOutcome,
     SeparationService,
@@ -109,7 +109,7 @@ __all__ = [
     "StreamingSeparator", "stream_record",
     "DegradationSpec", "Scenario", "ScenarioGrid", "Scoreboard",
     "available_degradations", "default_degradation", "run_scenario_grid",
-    "Separator",
+    "Separator", "check_record",
     "SeparationService", "SeparationOutcome", "SeparatorSpec",
     "available_separators", "build_separator", "default_spec",
     "register_separator",

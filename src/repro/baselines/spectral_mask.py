@@ -114,21 +114,17 @@ class SpectralMaskingSeparator(Separator):
         single cached plan and overlap-add normalizer.  Records of
         differing lengths fall back to the per-record base path.
         """
-        if len(mixed_batch) != len(f0_tracks_batch):
-            return super().separate_batch(
-                mixed_batch, sampling_hz, f0_tracks_batch
-            )
-        rows = [np.asarray(m, dtype=np.float64) for m in mixed_batch]
-        if not rows or any(r.ndim != 1 for r in rows) or len(
-            {r.size for r in rows}
-        ) != 1:
+        self._check_batch(mixed_batch, f0_tracks_batch)
+        rows = [  # fail before any FFT
+            self._validate(mixed, sampling_hz, tracks)
+            for mixed, tracks in zip(mixed_batch, f0_tracks_batch)
+        ]
+        if len({r.size for r in rows}) != 1:
             return super().separate_batch(
                 mixed_batch, sampling_hz, f0_tracks_batch
             )
 
         n = rows[0].size
-        for row, tracks in zip(rows, f0_tracks_batch):
-            self._validate(row, sampling_hz, tracks)  # fail before any FFT
         n_fft, hop = self.stft_geometry(sampling_hz, n)
         plan = get_stft_plan(n_fft, hop)
         n_frames = plan.n_frames(n)

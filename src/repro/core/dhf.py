@@ -479,11 +479,7 @@ class DHFSeparator(Separator):
         record-for-record, so a batched result is a drop-in replacement
         for its one-record counterpart.
         """
-        if len(mixed_batch) != len(f0_tracks_batch):
-            raise ConfigurationError(
-                f"{len(mixed_batch)} mixed records but "
-                f"{len(f0_tracks_batch)} f0-track mappings"
-            )
+        self._check_batch(mixed_batch, f0_tracks_batch)
         if reference_sources_batch is not None \
                 and len(reference_sources_batch) != len(mixed_batch):
             raise ConfigurationError(

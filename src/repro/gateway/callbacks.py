@@ -230,13 +230,8 @@ class CallbackClient:
         self._finish(delivery, dead=False)
 
     def _finish(self, delivery: CallbackDelivery, dead: bool) -> None:
-        with self._cv:
-            if dead:
-                self.dead_letters.append(delivery)
-            else:
-                self.n_delivered += 1
-            self._inflight -= 1
-            self._cv.notify_all()
+        # The hook runs first: drain() returns once nothing is in flight,
+        # and by then the outcome must already be persisted.
         if self.on_finished is not None:
             try:
                 self.on_finished(delivery)
@@ -245,3 +240,10 @@ class CallbackClient:
                     "callback on_finished hook failed for job %s",
                     delivery.job_id,
                 )
+        with self._cv:
+            if dead:
+                self.dead_letters.append(delivery)
+            else:
+                self.n_delivered += 1
+            self._inflight -= 1
+            self._cv.notify_all()

@@ -5,17 +5,66 @@ Lives at the package top level so both :mod:`repro.core` (DHF) and
 Every method consumes the same information the paper grants all
 competitors: the single mixed measurement, its sampling rate, and the
 per-source fundamental-frequency tracks (assumption 3 of Sec. 1).
+:func:`check_record` is the one written contract for that input.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-from repro.utils.validation import as_1d_float_array
+from repro.utils.validation import (
+    as_1d_float_array,
+    check_finite,
+    check_positive,
+)
+
+
+def check_record(
+    mixed,
+    sampling_hz: float,
+    f0_tracks: Mapping[str, np.ndarray],
+) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Validate one record or stream chunk against the input contract.
+
+    ``mixed`` is 1-D, non-empty and finite; ``sampling_hz`` is finite
+    and > 0; ``f0_tracks`` is a non-empty mapping whose tracks are 1-D,
+    as long as ``mixed``, finite, > 0 and below Nyquist.  A wrong
+    dimensionality raises :class:`ShapeError`, a bad rate or an empty
+    mapping :class:`ConfigurationError`, anything else
+    :class:`DataError`.  Returns ``mixed`` and the tracks as float64.
+    """
+    mixed = as_1d_float_array(mixed, "mixed")
+    check_positive(sampling_hz, "sampling_hz")
+    if not f0_tracks:
+        raise ConfigurationError("f0_tracks must contain at least one source")
+    tracks = {}
+    for name, track in f0_tracks.items():
+        track = as_1d_float_array(track, f"f0_tracks[{name!r}]")
+        if track.size != mixed.size:
+            raise DataError(
+                f"f0 track for {name!r} has {track.size} samples, "
+                f"mixed has {mixed.size}"
+            )
+        if not np.all((track > 0) & np.isfinite(track)):
+            raise DataError(
+                f"f0 track for {name!r} must be positive and finite"
+            )
+        tracks[name] = track
+    # Checked last, so a record with several faults keeps the error
+    # class of the checks above.
+    check_finite(mixed, "mixed")
+    nyquist = sampling_hz / 2
+    for name, track in tracks.items():
+        if np.any(track >= nyquist):
+            raise DataError(
+                f"f0 track for {name!r} reaches {track.max():g} Hz; it "
+                f"must stay below the Nyquist frequency {nyquist:g} Hz"
+            )
+    return mixed, tracks
 
 
 class Separator(abc.ABC):
@@ -74,11 +123,7 @@ class Separator(abc.ABC):
             One per-source f0-track mapping per record, aligned with
             ``mixed_batch``.
         """
-        if len(mixed_batch) != len(f0_tracks_batch):
-            raise ConfigurationError(
-                f"{len(mixed_batch)} mixed records but "
-                f"{len(f0_tracks_batch)} f0-track mappings"
-            )
+        self._check_batch(mixed_batch, f0_tracks_batch)
         return [
             self.separate(mixed, sampling_hz, tracks)
             for mixed, tracks in zip(mixed_batch, f0_tracks_batch)
@@ -122,25 +167,16 @@ class Separator(abc.ABC):
         )
 
     def _validate(self, mixed, sampling_hz, f0_tracks) -> np.ndarray:
-        mixed = as_1d_float_array(mixed, "mixed")
-        if sampling_hz <= 0:
+        return check_record(mixed, sampling_hz, f0_tracks)[0]
+
+    @staticmethod
+    def _check_batch(mixed_batch: Sequence, f0_tracks_batch: Sequence) -> None:
+        """Raise unless a batch carries one f0-track mapping per record."""
+        if len(mixed_batch) != len(f0_tracks_batch):
             raise ConfigurationError(
-                f"sampling_hz must be positive, got {sampling_hz}"
+                f"{len(mixed_batch)} mixed records but "
+                f"{len(f0_tracks_batch)} f0-track mappings"
             )
-        if not f0_tracks:
-            raise ConfigurationError("f0_tracks must contain at least one source")
-        for name, track in f0_tracks.items():
-            track = as_1d_float_array(track, f"f0_tracks[{name!r}]")
-            if track.size != mixed.size:
-                raise DataError(
-                    f"f0 track for {name!r} has {track.size} samples, "
-                    f"mixed has {mixed.size}"
-                )
-            if not np.all((track > 0) & np.isfinite(track)):
-                raise DataError(
-                    f"f0 track for {name!r} must be positive and finite"
-                )
-        return mixed
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -49,9 +49,9 @@ from __future__ import annotations
 import numpy as np
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError, DataError, ShapeError
-from repro.separation import Separator
-from repro.utils.validation import check_positive_int
+from repro.errors import ConfigurationError, DataError
+from repro.separation import Separator, check_record
+from repro.utils.validation import check_positive, check_positive_int
 
 
 def crossfade_ramp(length: int) -> np.ndarray:
@@ -119,12 +119,8 @@ class StreamingSeparator:
                 f"overlap_samples {overlap_samples} must be smaller than "
                 f"segment_samples {segment_samples}"
             )
-        if sampling_hz <= 0:
-            raise ConfigurationError(
-                f"sampling_hz must be positive, got {sampling_hz}"
-            )
         self.separator = separator
-        self.sampling_hz = float(sampling_hz)
+        self.sampling_hz = check_positive(sampling_hz, "sampling_hz")
         self.segment_samples = int(segment_samples)
         self.overlap_samples = int(overlap_samples)
         #: Stride between consecutive segment starts.
@@ -168,43 +164,31 @@ class StreamingSeparator:
         """Add a block of samples plus the matching f0-track slices.
 
         Returns the newly finalized samples per source (possibly empty
-        arrays while the engine waits for a full segment).
+        arrays while the engine waits for a full segment).  Each chunk
+        must meet :func:`repro.separation.check_record` at the stream's
+        rate; a zero-length chunk is a no-op.
         """
         if self.closed:
             raise ConfigurationError(
                 "cannot push into a finished StreamingSeparator"
             )
         samples = np.asarray(samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise ShapeError(
-                f"samples must be 1-D, got shape {samples.shape}"
-            )
-        if not f0_tracks:
-            raise ConfigurationError(
-                "f0_tracks must contain at least one source"
+        if samples.shape == (0,) and f0_tracks and not any(
+                np.size(track) for track in f0_tracks.values()):
+            chunks = {name: np.zeros(0) for name in f0_tracks}
+        else:
+            samples, chunks = check_record(
+                samples, self.sampling_hz, f0_tracks
             )
         if self._sources is None:
-            self._sources = list(f0_tracks)
+            self._sources = list(chunks)
             self._tracks = {name: np.zeros(0) for name in self._sources}
             self._pending = {name: np.zeros(0) for name in self._sources}
-        elif set(f0_tracks) != set(self._sources):
+        elif set(chunks) != set(self._sources):
             raise ConfigurationError(
-                f"f0 track sources {sorted(f0_tracks)} do not match the "
+                f"f0 track sources {sorted(chunks)} do not match the "
                 f"stream's sources {sorted(self._sources)}"
             )
-        chunks = {}
-        for name in self._sources:
-            track = np.asarray(f0_tracks[name], dtype=np.float64)
-            if track.shape != samples.shape:
-                raise DataError(
-                    f"f0 track for {name!r} has {track.size} samples, "
-                    f"chunk has {samples.size}"
-                )
-            if not np.all((track > 0) & np.isfinite(track)):
-                raise DataError(
-                    f"f0 track for {name!r} must be positive and finite"
-                )
-            chunks[name] = track
         self.n_pushed += samples.size
         if samples.size:
             self._signal = np.concatenate([self._signal, samples])

@@ -45,7 +45,7 @@ import numpy as np
 from repro.errors import ConfigurationError, DataError
 from repro.pipeline.batch import SeparationRecord
 from repro.pipeline.stream import StreamSession
-from repro.separation import Separator
+from repro.separation import Separator, check_record
 from repro.service.facade import SeparationService
 from repro.service.registry import SpecLike
 from repro.tfo.dataset import SheepRecording
@@ -60,7 +60,11 @@ from repro.tfo.spo2 import (
 )
 from repro.tfo.spo2 import ac_component as ac_strength
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_finite,
+    check_positive,
+    check_positive_int,
+)
 
 _LOG = get_logger("tfo.monitor")
 
@@ -672,13 +676,10 @@ class SpO2Monitor:
                 f"{sorted(f0_tracks)}"
             )
         n_chunk = next(iter(sizes))
-        for name, track in f0_tracks.items():
-            track = np.asarray(track)
-            if track.ndim != 1 or track.size != n_chunk:
-                raise DataError(
-                    f"f0 track for {name!r} must be 1-D with the chunk's "
-                    f"{n_chunk} samples, got shape {track.shape}"
-                )
+        if n_chunk:  # a zero-length chunk is a no-op, as in the engines
+            for wl in WAVELENGTHS:
+                check_record(raw[wl], self.sampling_hz, f0_tracks)
+                check_finite(base[wl], f"dc chunk for {wl} nm")
         chunks = {
             wl: self._extractors[wl].push(raw[wl], base[wl])
             for wl in WAVELENGTHS

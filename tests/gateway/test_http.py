@@ -136,6 +136,16 @@ class TestJobsOverHTTP:
         assert 400 <= err.value.status < 500
         assert err.value.payload["error"]
 
+    def test_record_breaking_the_contract_is_400(self, client):
+        wire = record_to_wire(make_record(seed=4))
+        wire["mixed"][10] = float("nan")  # sent as a bare NaN token
+        before = set(client.jobs())
+        with pytest.raises(GatewayError) as err:
+            client.submit_job({"method": "vmd", "records": [wire]})
+        assert err.value.status == 400
+        assert "non-finite" in err.value.payload["message"]
+        assert set(client.jobs()) == before  # nothing was queued
+
     def test_non_json_body_400(self, client):
         conn = client._connection()
         conn.request("POST", "/jobs", body=b"not json {",
@@ -213,6 +223,21 @@ class TestSessionsOverHTTP:
             client.create_session(request)
         assert err.value.status == 400
         assert "unknown key" in err.value.payload["message"]
+
+    def test_push_with_nan_sample_400(self, client):
+        sid = client.create_session(self.session_request())["session_id"]
+        ppg = np.sin(np.arange(200))
+        ppg[50] = np.nan
+        with pytest.raises(GatewayError) as err:
+            client.push(
+                sid, {740: ppg, 850: np.sin(np.arange(200))},
+                {740: np.zeros(200), 850: np.zeros(200)},
+                {"fetal": np.full(200, 1.2), "maternal": np.full(200, 2.1)},
+            )
+        assert err.value.status == 400
+        assert "non-finite" in err.value.payload["message"]
+        assert client.session(sid)["n_pushed"] == 0
+        client.delete_session(sid)
 
     def test_push_after_finish_409(self, client):
         sid = client.create_session(self.session_request())["session_id"]

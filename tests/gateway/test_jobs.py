@@ -108,11 +108,13 @@ class TestLifecycle:
             registry.result(job.job_id)
 
     def test_failing_job_lands_in_error(self, registry):
-        # An f0 track shorter than the mixture → separator raises.
+        # An f0 track shorter than the mixture → separator raises.  The
+        # record rejects it at construction, so swap it in afterwards.
         bad = SeparationRecord(
             mixed=np.ones(200), sampling_hz=100.0,
-            f0_tracks={"a": np.full(50, 1.0)},
+            f0_tracks={"a": np.full(200, 1.0)},
         )
+        bad.f0_tracks = {"a": np.full(50, 1.0)}
         job = registry.submit(SPEC, "separate", [bad])
         assert registry.drain(timeout_s=30.0)
         assert job.state == "error"

@@ -132,6 +132,29 @@ class TestJobSubmission:
         with pytest.raises(ConfigurationError, match="mode"):
             parse_job_submission(self.submission(mode="stream"))
 
+    @pytest.mark.parametrize("fault", [
+        "nan", "inf", "short-track", "zero-f0", "negative-f0", "nyquist-f0",
+    ])
+    def test_record_breaking_the_contract_rejected(self, fault):
+        """Caught at submission (→ 400), not queued to fail later."""
+        wire = record_to_wire(make_record())
+        if fault == "nan":
+            wire["mixed"][5] = float("nan")
+        elif fault == "inf":
+            wire["mixed"][5] = float("-inf")
+        elif fault == "short-track":
+            wire["f0_tracks"]["a"] = wire["f0_tracks"]["a"][:-1]
+        elif fault == "zero-f0":
+            wire["f0_tracks"]["b"][3] = 0.0
+        elif fault == "negative-f0":
+            wire["f0_tracks"]["b"][3] = -1.5
+        else:
+            wire["f0_tracks"]["a"][9] = 50.0  # Nyquist at 100 Hz
+        # json.loads turns NaN / -Infinity tokens into floats.
+        body = json.loads(json.dumps(self.submission(records=[wire])))
+        with pytest.raises(DataError):
+            parse_job_submission(body)
+
     def test_separate_needs_one_record(self):
         two = [record_to_wire(make_record(seed=i)) for i in (1, 2)]
         with pytest.raises(ConfigurationError, match="exactly one record"):

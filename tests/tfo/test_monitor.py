@@ -450,6 +450,67 @@ class TestSpO2MonitorValidation:
         update = monitor.push(good, good, {"fetal": np.full(10, 2.5)})
         assert update.n_pushed == 10
 
+    @pytest.mark.parametrize("channel", ["ppg", "dc"])
+    def test_rejected_non_finite_push_leaves_no_trace(self, recording,
+                                                      channel):
+        """A NaN chunk raises before any extractor moves its running mean,
+        so the clean pushes after it finish bitwise like a run that never
+        saw it."""
+        tracks = recording.f0_tracks()
+        n, chunk = recording.signals.n_samples, 1000
+
+        def run(bad_chunk=None):
+            monitor = SpO2Monitor(
+                "spectral-masking", recording.sampling_hz,
+                segment_samples=4000, overlap_samples=1000,
+                emit_estimates=True,
+            )
+            for t, sao2 in zip(recording.draw_times_s, recording.draw_sao2):
+                monitor.add_draw(t, sao2)
+            emitted = {wl: [] for wl in (740, 850)}
+            for start in range(0, n, chunk):
+                sl = slice(start, min(n, start + chunk))
+                ppg = {wl: recording.signals.ppg[wl][sl] for wl in (740, 850)}
+                dc = {wl: recording.signals.dc[wl][sl] for wl in (740, 850)}
+                f0 = {name: track[sl] for name, track in tracks.items()}
+                if start == bad_chunk:
+                    bad = {"ppg": dict(ppg), "dc": dict(dc)}
+                    bad[channel][850] = bad[channel][850].copy()
+                    bad[channel][850][17] = np.nan
+                    with pytest.raises(DataError, match="non-finite"):
+                        monitor.push(bad["ppg"], bad["dc"], f0)
+                update = monitor.push(ppg, dc, f0)
+                for wl in (740, 850):
+                    emitted[wl].append(update.estimates[wl])
+            result = monitor.finish()
+            for wl in (740, 850):
+                emitted[wl].append(result.final_estimates[wl])
+            return result, {
+                wl: np.concatenate(parts) for wl, parts in emitted.items()
+            }
+
+        clean, clean_est = run()
+        dirty, dirty_est = run(bad_chunk=5 * chunk)
+        for wl in (740, 850):
+            np.testing.assert_array_equal(dirty_est[wl], clean_est[wl])
+        assert dirty.n_samples == clean.n_samples == n
+        assert dirty.crossfade_spans == clean.crossfade_spans
+        np.testing.assert_array_equal(
+            [d.ratio for d in dirty.draws], [d.ratio for d in clean.draws]
+        )
+        np.testing.assert_array_equal(
+            dirty.fit.spo2_estimates, clean.fit.spo2_estimates
+        )
+
+    def test_zero_length_push_is_a_no_op(self):
+        monitor = self.make_monitor()
+        empty = {740: np.zeros(0), 850: np.zeros(0)}
+        update = monitor.push(empty, empty, {"fetal": np.zeros(0)})
+        assert update.n_pushed == 0
+        good = {740: np.ones(10), 850: np.ones(10)}
+        update = monitor.push(good, good, {"fetal": np.full(10, 2.5)})
+        assert update.n_pushed == 10
+
     def test_min_draws_below_calibration_minimum_rejected(self):
         with pytest.raises(ConfigurationError, match="min_draws"):
             self.make_monitor(min_draws=2)
